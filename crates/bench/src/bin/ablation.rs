@@ -4,7 +4,10 @@
 //!    accuracy on an analytic RC reference and effect on Soft-FET metrics;
 //! 2. PTM event refinement (`event_vtol`) — how crossing tolerance moves
 //!    the measured transition times and I_MAX;
-//! 3. linear-solver backend (dense vs sparse) — result equivalence (the
+//! 3. LTE step control — on a smooth PDN-scale problem, and as the
+//!    inverter sweeps use it: every metric against 15 fs fixed steps over
+//!    the Fig. 6 grid and the Fig. 8 sweep;
+//! 4. linear-solver backend (dense vs sparse) — result equivalence (the
 //!    runtime comparison lives in the Criterion `kernels` bench).
 
 use sfet_bench::banner;
@@ -36,6 +39,83 @@ fn rc_reference_error(method: Method, points: usize) -> f64 {
         worst = worst.max((v.value_at(t) - exact).abs());
     }
     worst
+}
+
+/// Worst relative error of each inverter metric against 15 fs fixed steps,
+/// with the old fixed 0.3 ps grid and with [`inverter_sim_options`], over
+/// the Fig. 6 grid, the Fig. 8 sweep and the baseline inverter.
+fn inverter_step_control_survey(ptm: PtmParams) -> Result<(), Box<dyn std::error::Error>> {
+    let mut specs = vec![InverterSpec::minimum(1.0, Topology::Baseline)];
+    for v_imt in [0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6] {
+        for v_mit in [0.05, 0.1, 0.15, 0.2] {
+            let p = PtmParams {
+                v_imt,
+                v_mit,
+                ..ptm
+            };
+            if p.validate().is_ok() {
+                specs.push(InverterSpec::minimum(1.0, Topology::SoftFet(p)));
+            }
+        }
+    }
+    for t_ptm in [
+        1e-12, 2e-12, 4e-12, 6e-12, 8e-12, 14e-12, 20e-12, 28e-12, 40e-12,
+    ] {
+        specs.push(InverterSpec::minimum(
+            1.0,
+            Topology::SoftFet(ptm.with_t_ptm(t_ptm)),
+        ));
+    }
+    let metrics =
+        |spec: &InverterSpec, opts: &SimOptions| -> Result<_, Box<dyn std::error::Error>> {
+            let result = transient(&spec.build()?, spec.t_stop, opts)?;
+            let m = measure_from_result(spec, &result)?;
+            let values = [m.i_max, m.di_dt, m.delay, m.q_total, m.q_sc];
+            Ok((values, m.transitions, result.stats().steps_accepted))
+        };
+    let names = ["I_MAX", "di/dt", "delay", "Q_total", "Q_sc"];
+    let mut header = vec!["options", "steps/run", "transition misses"];
+    header.extend(names);
+    let mut table = Table::new(&header);
+    let mut rows = [
+        ("fixed 0.3 ps", [0.0f64; 5], 0usize, 0usize),
+        ("inverter_sim_options", [0.0; 5], 0, 0),
+    ];
+    for spec in &specs {
+        let fine = SimOptions {
+            event_vtol: inverter_sim_options(spec).event_vtol,
+            ..SimOptions::default().with_dtmax(0.015e-12)
+        };
+        let (reference, transitions, _) = metrics(spec, &fine)?;
+        let candidates = [
+            SimOptions::default().with_dtmax(0.3e-12),
+            inverter_sim_options(spec),
+        ];
+        for (row, opts) in rows.iter_mut().zip(&candidates) {
+            let (values, fired, steps) = metrics(spec, opts)?;
+            for (worst, (v, r)) in row.1.iter_mut().zip(values.iter().zip(&reference)) {
+                *worst = worst.max(((v - r) / r).abs());
+            }
+            row.2 += usize::from(fired != transitions);
+            row.3 += steps;
+        }
+    }
+    for (name, worst, misses, steps) in &rows {
+        let mut cells = vec![
+            name.to_string(),
+            (steps / specs.len()).to_string(),
+            misses.to_string(),
+        ];
+        cells.extend(worst.iter().map(|e| format!("{:.2} %", e * 100.0)));
+        table.add_row(cells);
+    }
+    println!(
+        "{} inverters, worst error against 15 fs fixed steps:",
+        specs.len()
+    );
+    println!("{table}");
+    println!("expectation: the sweep options stay within 2 % on every metric with a fifth of the steps.\n");
+    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -75,7 +155,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("Ablation 2", "PTM event refinement tolerance (event_vtol)");
     let mut t3 = Table::new(&["event_vtol", "I_MAX", "first transition", "rejected steps"]);
-    for vtol in [50e-3, 10e-3, 2e-3, 0.5e-3] {
+    for vtol in [50e-3, 10e-3, 2e-3, 0.5e-3, 0.1e-3] {
         let spec = InverterSpec::minimum(1.0, Topology::SoftFet(ptm));
         let mut opts = inverter_sim_options(&spec);
         opts.event_vtol = vtol;
@@ -142,6 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "expectation: LTE control reaches reference accuracy in a fraction of the steps.\n"
         );
     }
+    inverter_step_control_survey(ptm)?;
 
     banner(
         "Ablation 4",

@@ -11,7 +11,7 @@ use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::{gate_caps, MosfetModel};
 use sfet_devices::ptm::PtmParams;
 use sfet_sim::{transient, SimOptions};
-use sfet_waveform::measure::{max_abs_didt, propagation_delay};
+use sfet_waveform::measure::{max_abs_didt, propagation_delay, DIDT_WINDOW_PER_EDGE};
 use sfet_waveform::Waveform;
 
 /// Two-input gate types.
@@ -155,7 +155,7 @@ impl GateSpec {
 pub struct GateMetrics {
     /// Peak V_CC-rail current \[A\].
     pub i_max: f64,
-    /// Maximum |di/dt| \[A/s\].
+    /// Maximum |di/dt| over a thirtieth of the input edge \[A/s\].
     pub di_dt: f64,
     /// Propagation delay \[s\].
     pub delay: f64,
@@ -190,7 +190,7 @@ pub fn measure_gate(spec: &GateSpec) -> Result<GateMetrics> {
     };
     Ok(GateMetrics {
         i_max: i_max.abs(),
-        di_dt: max_abs_didt(&i_rail),
+        di_dt: max_abs_didt(&i_rail, DIDT_WINDOW_PER_EDGE * spec.t_rise),
         delay: propagation_delay(&v_in, &v_out, spec.vdd)?,
         transitions,
         v_out,

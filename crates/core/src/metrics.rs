@@ -7,7 +7,7 @@
 use crate::inverter::{Edge, InverterSpec, Topology};
 use crate::Result;
 use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, TranResult};
-use sfet_waveform::measure::{charge_split, max_abs_didt, propagation_delay};
+use sfet_waveform::measure::{charge_split, max_abs_didt, propagation_delay, DIDT_WINDOW_PER_EDGE};
 use sfet_waveform::Waveform;
 
 /// Measured behaviour of one inverter transition.
@@ -17,7 +17,8 @@ pub struct InverterMetrics {
     pub i_max: f64,
     /// Time of the current peak \[s\].
     pub t_peak: f64,
-    /// Maximum |di/dt| of the rail current \[A/s\].
+    /// Maximum |di/dt| of the rail current \[A/s\], averaged over a thirtieth
+    /// of the input edge (see [`max_abs_didt`]).
     pub di_dt: f64,
     /// Propagation delay, 50 % input → 20 % output swing \[s\].
     pub delay: f64,
@@ -40,12 +41,29 @@ pub struct InverterMetrics {
     pub v_out: Waveform,
 }
 
-/// Simulation options used for inverter measurements: the time resolution
-/// tracks the input edge (and the engine further refines around PTM
-/// events).
+/// Simulation options used for inverter measurements: error-controlled
+/// stepping with tight PTM event localisation.
+///
+/// * LTE control at 1 mV lets the step grow to `dtmax` on the flat stretches
+///   of the window and shrink through the switching edge; `dtmax` tracks the
+///   input edge (a fifteenth of it, at most 2 ps). A tighter tolerance is
+///   worse, not better: at 0.3 mV the step after the input ramp's corner
+///   falls to a few fs and the trapezoidal rule rings the rail current,
+///   which reads as a di/dt about 60 % high.
+/// * `event_vtol` of 0.1 mV pins each PTM firing time to within a few fs.
+///   I_MAX depends on when the PTM fires far more than on the step size, so
+///   LTE control with a looser event window is less accurate than fixed
+///   0.3 ps steps.
+///
+/// Every metric of [`InverterMetrics`] agrees with a 15 fs fixed-step run
+/// to within the envelopes pinned by `tests/grid_refinement.rs`.
 pub fn inverter_sim_options(spec: &InverterSpec) -> SimOptions {
-    let dtmax = (spec.t_rise / 100.0).min(2e-12);
-    SimOptions::default().with_dtmax(dtmax)
+    SimOptions {
+        event_vtol: 1e-4,
+        ..SimOptions::default()
+            .with_dtmax((spec.t_rise / 15.0).min(2e-12))
+            .with_lte(1e-3)
+    }
 }
 
 /// Runs the transient for a spec and returns the raw result (exposed for
@@ -165,7 +183,7 @@ pub fn measure_from_result(spec: &InverterSpec, result: &TranResult) -> Result<I
     };
 
     let (t_peak, i_max) = i_rail.peak_abs();
-    let di_dt = max_abs_didt(&i_rail);
+    let di_dt = max_abs_didt(&i_rail, DIDT_WINDOW_PER_EDGE * spec.t_rise);
     let delay = propagation_delay(&v_in, &v_out, spec.vdd)?;
     let q = charge_split(&i_rail, &v_out, spec.c_load, spec.t_start, spec.t_stop);
     let transitions = match &spec.topology {

@@ -11,7 +11,7 @@ use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::{gate_caps, MosfetModel};
 use sfet_devices::ptm::PtmParams;
 use sfet_sim::{transient, SimOptions};
-use sfet_waveform::measure::{bounce, max_abs_didt, propagation_delay};
+use sfet_waveform::measure::{bounce, max_abs_didt, propagation_delay, DIDT_WINDOW_PER_EDGE};
 use sfet_waveform::Waveform;
 
 /// I/O buffer SSN scenario description.
@@ -76,7 +76,7 @@ pub struct IoBufferOutcome {
     pub ssn: f64,
     /// Peak supply current \[A\].
     pub i_peak: f64,
-    /// Maximum |di/dt| \[A/s\].
+    /// Maximum |di/dt| over a thirtieth of the input edge \[A/s\].
     pub di_dt: f64,
     /// Pad delay, 50 % input to 20 % output swing \[s\].
     pub delay: f64,
@@ -233,7 +233,7 @@ impl IoBufferScenario {
         let vdd_bounce = bounce(&vddi, self.v_nom);
         let vss_bounce = bounce(&vssi, 0.0);
         let (_, i_peak) = i_vdd.peak_abs();
-        let di_dt = max_abs_didt(&i_vdd);
+        let di_dt = max_abs_didt(&i_vdd, DIDT_WINDOW_PER_EDGE * self.input_rise);
         let delay = propagation_delay(&v_in, &v_pad, self.v_nom)?;
         let energy = self.v_nom * i_vdd.integral().abs();
 

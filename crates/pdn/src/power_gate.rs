@@ -74,7 +74,8 @@ pub struct PowerGateOutcome {
     pub droop: DroopReport,
     /// Peak inrush current above the active-neighbour steady state \[A\].
     pub peak_inrush: f64,
-    /// Maximum |di/dt| of the rail current \[A/s\].
+    /// Maximum |di/dt| of the rail current over a thirtieth of the wake ramp
+    /// \[A/s\].
     pub di_dt: f64,
     /// Time from wake command to the virtual rail reaching 90 % of
     /// nominal \[s\]; `None` if it never does within `t_stop`.
@@ -244,7 +245,10 @@ impl PowerGateScenario {
         let (_, peak_inrush) = inrush
             .window(self.wake_start * 0.5, self.t_stop)?
             .peak_abs();
-        let di_dt = sfet_waveform::measure::max_abs_didt(&i_rail);
+        let di_dt = sfet_waveform::measure::max_abs_didt(
+            &i_rail,
+            sfet_waveform::measure::DIDT_WINDOW_PER_EDGE * self.wake_ramp,
+        );
 
         let wake_time = crossing_time(
             &v_virtual,

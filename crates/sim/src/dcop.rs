@@ -146,20 +146,14 @@ pub(crate) fn solve_dc(
         }
     }
 
-    // Strategy 3: source stepping.
+    // Strategy 3: source stepping. The last strategy's failure is the one
+    // reported, with its cause intact: a singular matrix stays a
+    // `Numeric` error and a non-finite iterate keeps its unknown's name.
     let mut x = x0;
     for k in 1..=20 {
         let scale = k as f64 / 20.0;
         opts.telemetry.counter(names::DC_SOURCE_STEPS, 1);
-        x = newton_dc(compiled, &x, scale, 0.0, opts, ws).map_err(|e| match e {
-            e @ SimError::NonConvergence { .. } => e,
-            _ => SimError::NonConvergence {
-                time: 0.0,
-                dt: 0.0,
-                residual: f64::INFINITY,
-                unknown: None,
-            },
-        })?;
+        x = newton_dc(compiled, &x, scale, 0.0, opts, ws)?;
     }
     Ok(x)
 }
@@ -517,6 +511,29 @@ mod tests {
         let x = dc_operating_point(&ckt, &SimOptions::default()).unwrap();
         // The stiff pin (1 kS) dominates the 1 mS resistor path.
         assert!((x[1] - 0.25).abs() < 1e-4, "v(b) = {}", x[1]);
+    }
+
+    /// Two parallel sources that disagree leave the MNA matrix singular at
+    /// every source scale: the failure that ends the escalation ladder (the
+    /// first source step) must arrive as the singular matrix it is.
+    #[test]
+    fn source_stepping_keeps_the_singular_matrix_cause() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let g = Circuit::ground();
+        ckt.add_voltage_source("V1", a, g, SourceWaveform::Dc(1.0))
+            .unwrap();
+        ckt.add_voltage_source("V2", a, g, SourceWaveform::Dc(2.0))
+            .unwrap();
+        ckt.add_resistor("R1", a, g, 1e3).unwrap();
+        let err = dc_operating_point(&ckt, &SimOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Numeric(sfet_numeric::NumericError::SingularMatrix { .. })
+            ),
+            "cause lost: {err:?}"
+        );
     }
 
     #[test]

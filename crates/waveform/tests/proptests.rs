@@ -52,9 +52,22 @@ proptest! {
         // Derivative samples live at segment midpoints, so the trapezoidal
         // re-integration is inexact at the two half-segments; allow slack
         // proportional to the largest slope.
-        let slack = 1e-12 * max_abs_didt(&wf) + 1e-12;
+        let max_slope = d.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let slack = 1e-12 * max_slope + 1e-12;
         let expect = wf.last_value() - wf.first_value();
         prop_assert!((net - expect).abs() <= slack + 0.5 * (expect.abs() + 1.0) , "net {net} vs {expect}");
+    }
+
+    /// The windowed di/dt lies between the slope of any one window-long
+    /// stretch and the steepest segment.
+    #[test]
+    fn windowed_didt_bounded_by_segment_slopes(wf in arb_waveform(), frac in 0.01f64..1.0) {
+        let window = frac * (wf.end_time() - wf.start_time());
+        let didt = max_abs_didt(&wf, window);
+        let steepest = wf.derivative().values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        prop_assert!(didt <= steepest * (1.0 + 1e-9), "{didt} > steepest {steepest}");
+        let first = (wf.value_at(wf.start_time() + window) - wf.first_value()).abs() / window;
+        prop_assert!(didt >= first * (1.0 - 1e-9), "{didt} < first window {first}");
     }
 
     /// droop + overshoot together bound the peak-to-peak excursion.

