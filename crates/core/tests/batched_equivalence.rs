@@ -23,6 +23,7 @@
 
 use proptest::prelude::*;
 use sfet_circuit::{Circuit, SourceWaveform};
+use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
 use sfet_numeric::exec::{task_seed, ExecConfig, SweepOutcome};
 use sfet_numeric::fault::FaultPlan;
@@ -94,6 +95,65 @@ fn golden_scenario_circuits_scalar_vs_batched_bitwise() {
                     s,
                     b.as_ref().unwrap(),
                     &format!("{} {method:?} lane {lane}", reference.name),
+                );
+            }
+        }
+    }
+}
+
+/// `ckt` plus a nonlinear bias cell on nodes of its own: a 0.6 V source
+/// feeding a diode-connected NMOS through 1 kΩ. A linear circuit under
+/// factor reuse runs scalar inside `transient_batch` (it keeps its LU
+/// factors per step size); the cell makes the lane nonlinear, so these
+/// twins keep the structure-of-arrays kernel covered on the same
+/// trajectories.
+fn with_diode_cell(ckt: &Circuit) -> Circuit {
+    let mut ckt = ckt.clone();
+    let (bias, d, gnd) = (ckt.node("nl_bias"), ckt.node("nl_d"), Circuit::ground());
+    ckt.add_voltage_source("VNL", bias, gnd, SourceWaveform::Dc(0.6))
+        .unwrap();
+    ckt.add_resistor("RNL", bias, d, 1e3).unwrap();
+    ckt.add_mosfet(
+        "MNL",
+        d,
+        d,
+        gnd,
+        gnd,
+        MosfetModel::nmos_40nm(),
+        120e-9,
+        40e-9,
+    )
+    .unwrap();
+    ckt
+}
+
+/// [`golden_scenario_circuits_scalar_vs_batched_bitwise`] with the diode
+/// cell added to every catalog circuit.
+#[test]
+fn golden_scenario_circuits_with_diode_cell_scalar_vs_batched_bitwise() {
+    for reference in catalog().unwrap() {
+        let circuit = with_diode_cell(reference.circuit());
+        for method in [Method::BackwardEuler, Method::Trapezoidal, Method::Gear2] {
+            let rungs: Vec<usize> = reference.divisions.iter().copied().take(2).collect();
+            let opts: Vec<SimOptions> = rungs
+                .iter()
+                .map(|&d| reference.options(d, method))
+                .collect();
+            let specs: Vec<BatchSpec<'_>> = opts
+                .iter()
+                .map(|o| BatchSpec {
+                    circuit: &circuit,
+                    tstop: reference.tstop,
+                    opts: o,
+                })
+                .collect();
+            let batched = transient_batch(&specs);
+            for (lane, (o, b)) in opts.iter().zip(&batched).enumerate() {
+                let s = transient(&circuit, reference.tstop, o).unwrap();
+                assert_tran_bitwise(
+                    &s,
+                    b.as_ref().unwrap(),
+                    &format!("{} + diode cell {method:?} lane {lane}", reference.name),
                 );
             }
         }
@@ -212,6 +272,91 @@ proptest! {
                     clean_run[lane].as_ref().unwrap(),
                     got,
                     &format!("unaffected lane {lane} (mask {fault_mask:#b})"),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// [`randomized_lanes_bitwise_identical`] on ladders with the diode
+    /// cell, so the lanes run through the SoA kernel.
+    #[test]
+    fn randomized_diode_lanes_bitwise_identical(
+        r_kohm in 0.2f64..5.0,
+        c_ff in 0.2f64..2.0,
+        method_idx in 0usize..3,
+        width in 1usize..9,
+    ) {
+        let method = method_of(method_idx);
+        let opts = ladder_opts(method);
+        let circuits: Vec<Circuit> = (0..width)
+            .map(|i| {
+                with_diode_cell(&rc_ladder(r_kohm * 1e3 * (1.0 + 0.37 * i as f64), c_ff * 1e-15))
+            })
+            .collect();
+        let specs: Vec<BatchSpec<'_>> = circuits
+            .iter()
+            .map(|c| BatchSpec { circuit: c, tstop: LADDER_TSTOP, opts: &opts })
+            .collect();
+        let batched = transient_batch(&specs);
+        for (lane, (c, b)) in circuits.iter().zip(&batched).enumerate() {
+            let scalar = transient(c, LADDER_TSTOP, &opts).unwrap();
+            assert_tran_bitwise(
+                &scalar,
+                b.as_ref().unwrap(),
+                &format!("{method:?} B={width} diode lane {lane}"),
+            );
+        }
+    }
+
+    /// [`randomized_lane_fault_subsets_are_isolated`] on ladders with the
+    /// diode cell.
+    #[test]
+    fn randomized_diode_lane_fault_subsets_are_isolated(
+        method_idx in 0usize..3,
+        fault_mask in 1usize..15, // strict non-empty subset of 4 lanes
+        step in 3u64..12,
+    ) {
+        let method = method_of(method_idx);
+        let clean = ladder_opts(method);
+        let faulty = ladder_opts(method)
+            .with_fault_plan(FaultPlan::new().with_newton_failure(step));
+        let circuits: Vec<Circuit> = (0..4)
+            .map(|i| with_diode_cell(&rc_ladder(1e3 * (1.0 + 0.5 * i as f64), 1e-15)))
+            .collect();
+        let lane_opts: Vec<&SimOptions> = (0..4)
+            .map(|i| if fault_mask & (1 << i) != 0 { &faulty } else { &clean })
+            .collect();
+        let run = |opts_by_lane: &[&SimOptions]| {
+            transient_batch(
+                &circuits
+                    .iter()
+                    .zip(opts_by_lane)
+                    .map(|(c, o)| BatchSpec { circuit: c, tstop: LADDER_TSTOP, opts: o })
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let faulted_run = run(&lane_opts);
+        let clean_run = run(&[&clean; 4]);
+
+        for lane in 0..4 {
+            let got = faulted_run[lane].as_ref().unwrap();
+            if fault_mask & (1 << lane) != 0 {
+                let scalar = transient(&circuits[lane], LADDER_TSTOP, &faulty).unwrap();
+                assert_tran_bitwise(&scalar, got, &format!("faulted diode lane {lane}"));
+                prop_assert!(
+                    got.stats().steps_rejected
+                        > clean_run[lane].as_ref().unwrap().stats().steps_rejected,
+                    "lane {lane}: the injected failure must cost a rejection"
+                );
+            } else {
+                assert_tran_bitwise(
+                    clean_run[lane].as_ref().unwrap(),
+                    got,
+                    &format!("unaffected diode lane {lane} (mask {fault_mask:#b})"),
                 );
             }
         }

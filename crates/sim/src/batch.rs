@@ -28,8 +28,11 @@
 //! Lanes must share a *shape* — MNA size, linear solver, and
 //! factor-reuse flag — for the SoA backend to apply. A non-uniform batch
 //! silently falls back to per-lane scalar `transient` calls (bitwise
-//! equal by definition). Lanes that fail option/circuit validation error
-//! individually without aborting siblings.
+//! equal by definition). So does every lane whose circuit has no MOSFET
+//! and no PTM under factor reuse: its scalar run solves once per step
+//! against factors kept per step size, which the SoA kernel does not.
+//! Lanes that fail option/circuit validation error individually without
+//! aborting siblings.
 //!
 //! # Differences from the scalar engine
 //!
@@ -98,11 +101,21 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
         })
         .collect();
 
+    // A lane whose scalar run keeps its linear-circuit factors (one
+    // factorisation per step size, one solve per step) runs scalar: the
+    // SoA kernel factors and solves every Newton iteration, so its solver
+    // counters could not match.
+    let scalar_lane: Vec<bool> = specs
+        .iter()
+        .zip(&prevalidated)
+        .map(|(s, pre)| pre.as_ref().is_ok_and(|c| c.keeps_linear_factors(s.opts)))
+        .collect();
+
     // --- Shape uniformity across the lanes that validated. ---
     let mut shape: Option<(LinearSolver, bool, usize)> = None;
     let mut uniform = true;
-    for (spec, pre) in specs.iter().zip(&prevalidated) {
-        if let Ok(compiled) = pre {
+    for ((spec, pre), &scalar) in specs.iter().zip(&prevalidated).zip(&scalar_lane) {
+        if let (Ok(compiled), false) = (pre, scalar) {
             let this = (
                 spec.opts.solver,
                 spec.opts.reuse_factorization,
@@ -119,13 +132,11 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
         }
     }
     let Some((solver, reuse, n)) = shape else {
-        // Every lane failed validation: return the per-lane errors.
-        return prevalidated
-            .into_iter()
-            .map(|pre| match pre {
-                Ok(_) => unreachable!("shape is set when any lane validates"),
-                Err(e) => Err(e),
-            })
+        // No lane for the SoA kernel: per-lane errors and scalar runs.
+        return specs
+            .iter()
+            .zip(prevalidated)
+            .map(|(s, pre)| pre.and_then(|_| transient(s.circuit, s.tstop, s.opts)))
             .collect();
     };
     if !uniform {
@@ -139,10 +150,14 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
     let nl = specs.len();
     let mut early: Vec<Option<Result<TranResult>>> = Vec::with_capacity(nl);
     let mut lanes: Vec<Option<Box<Lane<'_>>>> = Vec::with_capacity(nl);
-    for (spec, pre) in specs.iter().zip(prevalidated) {
+    for ((spec, pre), scalar) in specs.iter().zip(prevalidated).zip(scalar_lane) {
         match pre {
             Err(e) => {
                 early.push(Some(Err(e)));
+                lanes.push(None);
+            }
+            Ok(_) if scalar => {
+                early.push(Some(transient(spec.circuit, spec.tstop, spec.opts)));
                 lanes.push(None);
             }
             Ok(compiled) => match Lane::setup(spec, compiled) {
@@ -659,6 +674,7 @@ impl<'a> Lane<'a> {
 mod tests {
     use super::*;
     use sfet_circuit::SourceWaveform;
+    use sfet_devices::mosfet::MosfetModel;
     use sfet_devices::ptm::PtmParams;
 
     fn opts_for(tstop: f64) -> SimOptions {
@@ -674,6 +690,21 @@ mod tests {
             .unwrap();
         ckt.add_resistor("R1", a, out, r).unwrap();
         ckt.add_capacitor("C1", out, g, 1e-15).unwrap();
+        ckt
+    }
+
+    /// Adds a diode-connected NMOS from `node` to ground. A lane whose
+    /// circuit holds one is nonlinear, so it reaches the SoA kernel; the
+    /// linear circuits above run scalar under factor reuse.
+    fn with_diode_load(mut ckt: Circuit, node: &str) -> Circuit {
+        let n = ckt.node(node);
+        let g = Circuit::ground();
+        ckt.add_mosfet("MD", n, n, g, g, MosfetModel::nmos_40nm(), 120e-9, 40e-9)
+            .unwrap();
+        assert!(
+            !CompiledCircuit::compile(&ckt).keeps_linear_factors(&SimOptions::default()),
+            "a diode-loaded lane takes the batched path"
+        );
         ckt
     }
 
@@ -939,6 +970,150 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         assert!(transient_batch(&[]).is_empty());
+    }
+
+    /// [`rc_lanes_match_scalar_bitwise_both_solvers`] with a diode load per
+    /// lane, so the lanes run through the SoA kernel.
+    #[test]
+    fn diode_rc_lanes_match_scalar_bitwise_both_solvers() {
+        let tstop = 6e-12;
+        let circuits: Vec<Circuit> = [500.0, 1e3, 2e3, 5e3]
+            .map(|r| with_diode_load(rc_circuit(r), "out"))
+            .into();
+        for solver in [LinearSolver::Dense, LinearSolver::Sparse] {
+            let opts = opts_for(tstop).with_solver(solver);
+            let specs: Vec<BatchSpec<'_>> = circuits
+                .iter()
+                .map(|c| BatchSpec {
+                    circuit: c,
+                    tstop,
+                    opts: &opts,
+                })
+                .collect();
+            let batched = transient_batch(&specs);
+            for (i, (c, rb)) in circuits.iter().zip(&batched).enumerate() {
+                let rs = transient(c, tstop, &opts).unwrap();
+                assert_tran_bitwise(rb.as_ref().unwrap(), &rs, &format!("{solver} lane {i}"));
+            }
+        }
+    }
+
+    /// [`lane_fault_is_isolated_and_recovers`] on diode-loaded lanes.
+    #[test]
+    fn diode_lane_fault_is_isolated_and_recovers() {
+        let tstop = 6e-12;
+        let circuits: Vec<Circuit> = [500.0, 1e3, 2e3]
+            .map(|r| with_diode_load(rc_circuit(r), "out"))
+            .into();
+        let clean = opts_for(tstop);
+        let faulty = opts_for(tstop).with_fault_plan(FaultPlan::new().with_newton_failure(10));
+        let opts_by_lane = [&clean, &faulty, &clean];
+        let specs: Vec<BatchSpec<'_>> = circuits
+            .iter()
+            .zip(opts_by_lane)
+            .map(|(c, o)| BatchSpec {
+                circuit: c,
+                tstop,
+                opts: o,
+            })
+            .collect();
+        let batched = transient_batch(&specs);
+        for (i, (c, o)) in circuits.iter().zip(opts_by_lane).enumerate() {
+            let rs = transient(c, tstop, o).unwrap();
+            assert_tran_bitwise(batched[i].as_ref().unwrap(), &rs, &format!("lane {i}"));
+        }
+        assert!(
+            batched[1].as_ref().unwrap().stats().steps_rejected
+                > batched[0].as_ref().unwrap().stats().steps_rejected,
+            "the injected failure must cost the faulted lane a rejection"
+        );
+    }
+
+    /// [`diverging_lane_fails_alone`] on diode-loaded lanes.
+    #[test]
+    fn diverging_diode_lane_fails_alone() {
+        let tstop = 10e-12;
+        let mut bad = Circuit::new();
+        let a = bad.node("a");
+        let mid = bad.node("mid");
+        let g = Circuit::ground();
+        bad.add_voltage_source("V1", a, g, SourceWaveform::ramp(0.0, 0.8, 0.0, 1e-18))
+            .unwrap();
+        bad.add_resistor("R1", a, mid, 1e3).unwrap();
+        bad.add_resistor("R2", mid, g, 1e3).unwrap();
+        let bad = with_diode_load(bad, "mid");
+        let bad_opts = SimOptions {
+            max_newton_step: 0.1,
+            max_newton_iter: 5,
+            dtmin: 1e-15,
+            ..Default::default()
+        };
+        let good = with_diode_load(rc_circuit(1e3), "out");
+        let good_opts = SimOptions::default();
+        let specs = [
+            BatchSpec {
+                circuit: &good,
+                tstop,
+                opts: &good_opts,
+            },
+            BatchSpec {
+                circuit: &bad,
+                tstop,
+                opts: &bad_opts,
+            },
+        ];
+        let batched = transient_batch(&specs);
+        let scalar_good = transient(&good, tstop, &good_opts).unwrap();
+        assert_tran_bitwise(batched[0].as_ref().unwrap(), &scalar_good, "good lane");
+        let scalar_err = transient(&bad, tstop, &bad_opts).unwrap_err();
+        match (&batched[1], &scalar_err) {
+            (
+                Err(SimError::NonConvergence {
+                    time: bt,
+                    dt: bd,
+                    residual: br,
+                    unknown: bu,
+                }),
+                SimError::NonConvergence {
+                    time: st,
+                    dt: sd,
+                    residual: sr,
+                    unknown: su,
+                },
+            ) => {
+                assert_eq!(bt.to_bits(), st.to_bits(), "failure time");
+                assert_eq!(bd.to_bits(), sd.to_bits(), "failure dt");
+                assert_eq!(br.to_bits(), sr.to_bits(), "failure residual");
+                assert_eq!(bu, su, "worst unknown");
+            }
+            other => panic!("expected matching NonConvergence, got {other:?}"),
+        }
+    }
+
+    /// [`validation_error_is_per_lane`] with a diode-loaded sibling.
+    #[test]
+    fn diode_validation_error_is_per_lane() {
+        let ckt = with_diode_load(rc_circuit(1e3), "out");
+        let opts = opts_for(6e-12);
+        let specs = [
+            BatchSpec {
+                circuit: &ckt,
+                tstop: -1.0,
+                opts: &opts,
+            },
+            BatchSpec {
+                circuit: &ckt,
+                tstop: 6e-12,
+                opts: &opts,
+            },
+        ];
+        let batched = transient_batch(&specs);
+        assert!(matches!(batched[0], Err(SimError::InvalidOptions(_))));
+        assert_tran_bitwise(
+            batched[1].as_ref().unwrap(),
+            &transient(&ckt, 6e-12, &opts).unwrap(),
+            "valid sibling",
+        );
     }
 
     /// Telemetry counters from a batched run total the same as the scalar

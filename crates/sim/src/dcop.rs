@@ -172,20 +172,20 @@ pub(crate) fn newton_dc(
         source_scale,
         gmin_shunt,
     };
+    let keep_factors = compiled.keeps_linear_factors(opts);
     let mut x = x0.to_vec();
     let jac = &mut ws.jac;
     let rhs = &mut ws.rhs;
     let mut last_residual = f64::INFINITY;
     let mut last_worst = 0usize;
 
-    for _ in 0..opts.max_newton_iter {
+    for iter in 0..opts.max_newton_iter {
         ws.newton_iterations += 1;
-        jac.clear();
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        for device in &compiled.devices {
-            device.stamp(mode, &x, jac, rhs, opts.gmin);
+        // A linear circuit assembles the same system at every iterate, so
+        // the damped walk reuses the first solution instead of re-solving.
+        if iter == 0 || !keep_factors {
+            compiled.assemble_solve(mode, &x, jac, rhs, opts)?;
         }
-        jac.factor_solve(rhs)?;
         let x_next: &[f64] = rhs;
         // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
         // test below (NaN comparisons are false) and be returned as a

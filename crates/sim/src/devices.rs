@@ -20,7 +20,9 @@
 //! * a branch current is positive flowing from `p` *through the element*
 //!   to `n` (SPICE convention: a supply delivering current reads negative).
 
-use crate::matrix::MnaMatrix;
+use crate::matrix::{MatrixKey, MnaMatrix};
+use crate::options::SimOptions;
+use crate::Result;
 use sfet_circuit::{Circuit, Element, SourceWaveform};
 use sfet_devices::mosfet::{self, GateCaps, MosfetModel};
 use sfet_devices::ptm::{PtmState, TransitionEvent};
@@ -50,6 +52,15 @@ impl Stamp for MnaMatrix {
     fn add(&mut self, r: usize, c: usize, v: f64) {
         MnaMatrix::add(self, r, c, v);
     }
+}
+
+/// A sink that drops every matrix entry: stamping through it fills only
+/// the right-hand side, for a solve against kept factors.
+struct RhsOnly;
+
+impl Stamp for RhsOnly {
+    #[inline]
+    fn add(&mut self, _r: usize, _c: usize, _v: f64) {}
 }
 
 /// Stamps a conductance between two unknowns.
@@ -111,6 +122,21 @@ pub(crate) enum StampMode {
         /// Integration method for this step.
         method: Method,
     },
+}
+
+impl StampMode {
+    /// What a linear circuit's matrix depends on in this mode.
+    pub(crate) fn matrix_key(self) -> MatrixKey {
+        match self {
+            StampMode::Dc { gmin_shunt, .. } => MatrixKey::Dc {
+                gmin_shunt: gmin_shunt.to_bits(),
+            },
+            StampMode::Transient { dt, method, .. } => MatrixKey::Transient {
+                dt: dt.to_bits(),
+                method,
+            },
+        }
+    }
 }
 
 /// A compiled device with its simulation state.
@@ -556,6 +582,10 @@ pub(crate) struct CompiledCircuit {
     /// Current-source names in device order (current sources own no branch
     /// unknown, so they need their own name list).
     pub isrc_names: Vec<String>,
+    /// No MOSFET and no PTM: every stamp is linear and independent of the
+    /// Newton iterate, so the matrix is a function of the stamp mode's
+    /// [`MatrixKey`] alone.
+    pub linear: bool,
 }
 
 impl CompiledCircuit {
@@ -727,6 +757,9 @@ impl CompiledCircuit {
             })
             .collect();
 
+        let linear = !devices
+            .iter()
+            .any(|d| matches!(d, SimDevice::Mosfet { .. } | SimDevice::Ptm { .. }));
         CompiledCircuit {
             devices,
             size: next_branch,
@@ -734,7 +767,51 @@ impl CompiledCircuit {
             branch_names,
             ptm_devices,
             isrc_names,
+            linear,
         }
+    }
+
+    /// Whether analyses keep this circuit's LU factors across Newton
+    /// iterations and steps (see [`CompiledCircuit::assemble_solve`]):
+    /// a linear circuit under factor reuse.
+    pub(crate) fn keeps_linear_factors(&self, opts: &SimOptions) -> bool {
+        self.linear && opts.reuse_factorization
+    }
+
+    /// Stamps every device at iterate `x` in `mode` and solves the MNA
+    /// system, leaving the solution in `rhs`.
+    ///
+    /// When [`keeps_linear_factors`](CompiledCircuit::keeps_linear_factors)
+    /// holds, the matrix is a function of `mode.matrix_key()`: while `jac`
+    /// holds factors for that key, only the right-hand side is stamped and
+    /// solved against them, so a run of equal steps factorises once.
+    pub(crate) fn assemble_solve(
+        &self,
+        mode: StampMode,
+        x: &[f64],
+        jac: &mut MnaMatrix,
+        rhs: &mut [f64],
+        opts: &SimOptions,
+    ) -> Result<()> {
+        rhs.iter_mut().for_each(|v| *v = 0.0);
+        let key = mode.matrix_key();
+        let keep_factors = self.keeps_linear_factors(opts);
+        if keep_factors && jac.holds_factors_for(key) {
+            for device in &self.devices {
+                device.stamp(mode, x, &mut RhsOnly, rhs, opts.gmin);
+            }
+            return Ok(jac.solve_kept(rhs)?);
+        }
+        jac.clear();
+        for device in &self.devices {
+            device.stamp(mode, x, jac, rhs, opts.gmin);
+        }
+        if keep_factors {
+            jac.factor_solve_for(key, rhs)?;
+        } else {
+            jac.factor_solve(rhs)?;
+        }
+        Ok(())
     }
 
     /// Name of a current-source device, if `device` is one (current sources

@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use sfet_numeric::dense::{DenseMatrix, LuFactors};
+use sfet_numeric::integrate::Method;
 use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
 use sfet_numeric::sparse::{CscAssembler, SparseLu};
 use sfet_numeric::{NumericError, Result};
@@ -256,6 +257,21 @@ pub(crate) struct MnaMatrix {
     /// Allow the sparse backend to reuse cached factors across solves.
     reuse: bool,
     stats: SolverStats,
+    /// The matrix the kept factors belong to, when the caller named it
+    /// ([`MnaMatrix::factor_solve_for`]); `None` once they may be stale.
+    factored_for: Option<MatrixKey>,
+}
+
+/// Everything a linear circuit's MNA matrix depends on: in DC the gmin
+/// shunt, in a transient step the step size and integration method
+/// (companion conductances are `k·C/dt` and `k·L/dt`). Sources, the
+/// step's end time and the Newton iterate only reach the right-hand side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MatrixKey {
+    /// DC operating point with this gmin shunt (`f64::to_bits`).
+    Dc { gmin_shunt: u64 },
+    /// Transient step of this size (`f64::to_bits`) and method.
+    Transient { dt: u64, method: Method },
 }
 
 #[derive(Debug, Clone)]
@@ -325,6 +341,7 @@ impl MnaMatrix {
             backend,
             reuse,
             stats: SolverStats::default(),
+            factored_for: None,
         }
     }
 
@@ -356,29 +373,69 @@ impl MnaMatrix {
     ///
     /// Propagates singular-matrix and dimension errors from the backend.
     pub(crate) fn factor_solve(&mut self, rhs: &mut [f64]) -> Result<()> {
+        self.factored_for = None;
         let t0 = Instant::now();
-        let out = self.factor_solve_inner(rhs);
+        let out = self.factor().and_then(|()| self.solve_factored(rhs));
         self.stats.solve_time_ns += t0.elapsed().as_nanos() as u64;
         out
     }
 
-    fn factor_solve_inner(&mut self, rhs: &mut [f64]) -> Result<()> {
+    /// [`factor_solve`](MnaMatrix::factor_solve) for the matrix `key`
+    /// names: on success the kept factors answer
+    /// [`solve_kept`](MnaMatrix::solve_kept) until the next factorisation
+    /// or [`forget_factors`](MnaMatrix::forget_factors).
+    ///
+    /// # Errors
+    ///
+    /// As [`factor_solve`](MnaMatrix::factor_solve).
+    pub(crate) fn factor_solve_for(&mut self, key: MatrixKey, rhs: &mut [f64]) -> Result<()> {
+        self.factor_solve(rhs)?;
+        self.factored_for = Some(key);
+        Ok(())
+    }
+
+    /// Whether the kept factors belong to the matrix `key` names.
+    pub(crate) fn holds_factors_for(&self, key: MatrixKey) -> bool {
+        self.factored_for == Some(key)
+    }
+
+    /// Solves `A x = rhs` in place against the kept factors, with no
+    /// assembly and no factorisation. Bitwise equal to re-assembling the
+    /// same matrix and calling [`factor_solve`](MnaMatrix::factor_solve):
+    /// every backend factors and solves deterministically.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solve errors from the backend; the kept factors are then
+    /// forgotten.
+    pub(crate) fn solve_kept(&mut self, rhs: &mut [f64]) -> Result<()> {
+        debug_assert!(self.factored_for.is_some(), "no kept factors to solve with");
+        let t0 = Instant::now();
+        let out = self.solve_factored(rhs);
+        self.stats.solve_time_ns += t0.elapsed().as_nanos() as u64;
+        if out.is_err() {
+            self.factored_for = None;
+        }
+        out
+    }
+
+    /// Drops the record of what the kept factors belong to, so the next
+    /// solve factorises afresh.
+    pub(crate) fn forget_factors(&mut self) {
+        self.factored_for = None;
+    }
+
+    /// Factorises the assembled matrix into the backend's kept factors
+    /// (for the iterative backend: its ILU(0) preconditioner).
+    fn factor(&mut self) -> Result<()> {
         match &mut self.backend {
-            Backend::Dense {
-                m,
-                factors,
-                scratch,
-            } => {
+            Backend::Dense { m, factors, .. } => {
                 factors.refactor(m)?;
                 self.stats.full_factorizations += 1;
                 self.stats.factor_nnz = m.rows() * m.cols();
-                factors.solve_in_place(rhs, scratch)?;
             }
             Backend::Sparse {
-                asm,
-                lu,
-                lu_epoch,
-                scratch,
+                asm, lu, lu_epoch, ..
             } => {
                 asm.finish();
                 let epoch = asm.epoch();
@@ -411,17 +468,12 @@ impl MnaMatrix {
                 }
                 let f = lu.as_ref().expect("factorised above");
                 self.stats.factor_nnz = f.factor_nnz();
-                f.solve_in_place(rhs, scratch)?;
             }
             Backend::Iterative {
                 asm,
                 ilu,
                 ilu_epoch,
-                lu,
-                lu_epoch,
-                ws,
-                x,
-                scratch,
+                ..
             } => {
                 asm.finish();
                 let epoch = asm.epoch();
@@ -447,6 +499,35 @@ impl MnaMatrix {
                 }
                 let pre = ilu.as_ref().expect("factorised above");
                 self.stats.factor_nnz = pre.factor_nnz();
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `A x = rhs` in place with the factors
+    /// [`factor`](MnaMatrix::factor) left.
+    fn solve_factored(&mut self, rhs: &mut [f64]) -> Result<()> {
+        match &mut self.backend {
+            Backend::Dense {
+                factors, scratch, ..
+            } => factors.solve_in_place(rhs, scratch)?,
+            Backend::Sparse { lu, scratch, .. } => lu
+                .as_ref()
+                .expect("factor ran first")
+                .solve_in_place(rhs, scratch)?,
+            Backend::Iterative {
+                asm,
+                ilu,
+                lu,
+                lu_epoch,
+                ws,
+                x,
+                scratch,
+                ..
+            } => {
+                let epoch = asm.epoch();
+                let a = asm.matrix().expect("factor compiled a pattern");
+                let pre = ilu.as_ref().expect("factor ran first");
                 // GMRES from x = 0: deterministic regardless of solve
                 // history, and the convergence test is on the true
                 // residual (right preconditioning).

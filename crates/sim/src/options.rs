@@ -49,7 +49,9 @@ pub struct SimOptions {
     /// Linear-solver backend for the MNA system.
     pub solver: LinearSolver,
     /// Reuse the cached sparsity pattern and symbolic factorisation across
-    /// Newton iterations and timesteps (sparse backend). Produces
+    /// Newton iterations and timesteps (sparse backend), and on a circuit
+    /// with no MOSFET and no PTM keep the LU factors across every step of
+    /// one size and solve once per step (any backend). Produces
     /// bitwise-identical results to fresh factorisation; disable only for
     /// solver debugging / regression comparison.
     pub reuse_factorization: bool,

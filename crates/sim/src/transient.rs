@@ -246,6 +246,9 @@ pub fn transient_resumable(
                 // The predictor history is stale across a rejected solve
                 // followed by a backward-Euler restart.
                 hist.clear();
+                // Factors kept from before a failed solve are not trusted
+                // for the retry.
+                jac.forget_factors();
                 // Give up only after a backward-Euler attempt AT dtmin has
                 // failed; otherwise clamp the quartered retry to dtmin so
                 // the floor step is actually attempted. The inner error is
@@ -440,6 +443,7 @@ fn newton_transient(
     poison: bool,
 ) -> Result<(Vec<f64>, usize)> {
     let mode = StampMode::Transient { t_next, dt, method };
+    let keep_factors = compiled.keeps_linear_factors(opts);
     let mut x = x0.to_vec();
     // Final-iteration diagnostics for the NonConvergence payload.
     let mut last_residual = f64::INFINITY;
@@ -448,14 +452,14 @@ fn newton_transient(
         let _iter_span = opts
             .telemetry
             .span(Level::Iteration, names::SPAN_NEWTON_ITER);
-        jac.clear();
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        for device in &compiled.devices {
-            device.stamp(mode, &x, jac, rhs, opts.gmin);
-        }
-        jac.factor_solve(rhs)?;
-        if poison {
-            rhs[0] = f64::NAN;
+        // A linear circuit's later iterations would assemble the same
+        // matrix and right-hand side again: the first iteration's solution
+        // is still in `rhs`, and they only confirm convergence.
+        if iter == 1 || !keep_factors {
+            compiled.assemble_solve(mode, &x, jac, rhs, opts)?;
+            if poison {
+                rhs[0] = f64::NAN;
+            }
         }
         let x_next: &[f64] = rhs;
         // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
@@ -1075,20 +1079,22 @@ mod tests {
         for (ta, tb) in a.times().iter().zip(b.times()) {
             assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: time axis");
         }
-        for name in ["in", "vc"] {
+        for name in a.node_names() {
             let (wa, wb) = (a.voltage(name).unwrap(), b.voltage(name).unwrap());
             for (va, vb) in wa.values().iter().zip(wb.values()) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "{what}: v({name})");
             }
         }
-        let (ra, rb) = (
-            a.ptm_resistance("P1").unwrap(),
-            b.ptm_resistance("P1").unwrap(),
-        );
-        for (va, vb) in ra.values().iter().zip(rb.values()) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{what}: ptm resistance");
+        for name in a.ptm_names() {
+            let (ra, rb) = (
+                a.ptm_resistance(name).unwrap(),
+                b.ptm_resistance(name).unwrap(),
+            );
+            for (va, vb) in ra.values().iter().zip(rb.values()) {
+                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: ptm resistance");
+            }
+            assert_eq!(a.ptm_events(name).unwrap(), b.ptm_events(name).unwrap());
         }
-        assert_eq!(a.ptm_events("P1").unwrap(), b.ptm_events("P1").unwrap());
         assert_eq!(
             a.stats().steps_attempted,
             b.stats().steps_attempted,
@@ -1340,6 +1346,94 @@ mod tests {
             .unwrap();
             assert_bitwise_equal(&straight, &resumed, &format!("{method:?}"));
             let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// Series RLC driven by a step: a linear circuit, so the stepper keeps
+    /// its LU factors across steps of equal size.
+    fn rlc_circuit() -> Circuit {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let m1 = ckt.node("m1");
+        let out = ckt.node("out");
+        let g = Circuit::ground();
+        ckt.add_voltage_source("V1", a, g, SourceWaveform::ramp(0.0, 1.0, 20e-12, 5e-12))
+            .unwrap();
+        ckt.add_resistor("R1", a, m1, 10.0).unwrap();
+        ckt.add_inductor("L1", m1, out, 1e-9).unwrap();
+        ckt.add_capacitor("C1", out, g, 1e-12).unwrap();
+        ckt
+    }
+
+    /// Kill-and-resume on a linear circuit: the resumed run starts with no
+    /// kept factors and must still land on the straight run's bits.
+    #[test]
+    fn linear_kill_and_resume_is_bitwise_identical() {
+        let ckt = rlc_circuit();
+        let tstop = 300e-12;
+        for method in [Method::Trapezoidal, Method::BackwardEuler, Method::Gear2] {
+            let opts = SimOptions::for_duration(tstop, 600).with_method(method);
+            let straight = transient(&ckt, tstop, &opts).unwrap();
+            assert!(straight.stats().steps_attempted > 160);
+            assert!(
+                straight.stats().solver.solves < straight.stats().newton_iterations as u64,
+                "the straight run keeps its factors"
+            );
+
+            let path = tmp_path(&format!("linear-resume-{method:?}"));
+            let crashing = opts
+                .clone()
+                .with_fault_plan(FaultPlan::new().with_crash(150));
+            let err = transient_resumable(
+                &ckt,
+                tstop,
+                &crashing,
+                &CheckpointPolicy::write_to(&path, 20),
+            )
+            .unwrap_err();
+            assert!(matches!(err, SimError::InjectedCrash { .. }), "{err}");
+            let resumed = transient_resumable(
+                &ckt,
+                tstop,
+                &opts,
+                &CheckpointPolicy::disabled().with_resume_from(&path),
+            )
+            .unwrap();
+            assert_bitwise_equal(&straight, &resumed, &format!("linear {method:?}"));
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// Rejected steps on a linear circuit — injected Newton failures and
+    /// tight-LTE rejections — leave no stale factors behind: the run is
+    /// bitwise equal to the per-iteration factorisation path under the
+    /// same fault plan.
+    #[test]
+    fn linear_rejections_keep_no_stale_factors() {
+        let ckt = rlc_circuit();
+        let tstop = 300e-12;
+        let plan = FaultPlan::new()
+            .with_newton_failure(10)
+            .with_newton_failure(11)
+            .with_newton_failure(60);
+        for method in [Method::Trapezoidal, Method::BackwardEuler, Method::Gear2] {
+            let opts = SimOptions::for_duration(tstop, 600)
+                .with_method(method)
+                .with_lte(1e-5)
+                .with_fault_plan(plan.clone());
+            let kept = transient(&ckt, tstop, &opts).unwrap();
+            let fresh = transient(&ckt, tstop, &opts.clone().with_factor_reuse(false)).unwrap();
+            assert_bitwise_equal(&kept, &fresh, &format!("rejections {method:?}"));
+            let clean =
+                transient(&ckt, tstop, &opts.clone().with_fault_plan(FaultPlan::new())).unwrap();
+            assert!(
+                kept.stats().steps_rejected > 3,
+                "{method:?}: three injected failures plus LTE rejections"
+            );
+            assert!(
+                clean.stats().steps_rejected > 0,
+                "{method:?}: the LTE control rejects steps"
+            );
         }
     }
 

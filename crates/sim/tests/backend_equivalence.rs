@@ -1,10 +1,17 @@
 //! The dense and sparse MNA backends must produce equivalent results on
-//! every circuit class the experiments use.
+//! every circuit class the experiments use, and the linear-circuit path
+//! that keeps LU factors across steps must match the path that
+//! factorises every Newton iteration bit for bit.
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
-use sfet_sim::{dc_operating_point, dc_sweep, transient, LinearSolver, SimOptions};
+use sfet_numeric::integrate::Method;
+use sfet_pdn::PdnGrid;
+use sfet_sim::{
+    dc_operating_point, dc_operating_point_with_stats, dc_sweep, transient, LinearSolver,
+    SimOptions, TranResult,
+};
 
 fn soft_inverter() -> Circuit {
     let mut ckt = Circuit::new();
@@ -314,4 +321,129 @@ fn sparse_backend_handles_pdn_scale_grid() {
     .unwrap();
     let vd_far = rd.voltage(&format!("g{}_{}", n - 1, n - 1)).unwrap();
     assert!((v_far.last_value() - vd_far.last_value()).abs() < 1e-6);
+}
+
+/// The linear-circuit cases of the kept-factor differential: the 8×8 chip
+/// PDN grid of the droop map, its Soft-FET variant (every site ramp
+/// stretched 8×), and a two-pole RC ladder.
+fn linear_cases() -> Vec<(&'static str, Circuit, f64)> {
+    let grid = PdnGrid::chip(8, 8);
+    let soft = grid.with_soft_fet_spread(8.0);
+    let mut ladder = Circuit::new();
+    let (a, m, out, gnd) = (
+        ladder.node("a"),
+        ladder.node("m"),
+        ladder.node("out"),
+        Circuit::ground(),
+    );
+    ladder
+        .add_voltage_source("V1", a, gnd, SourceWaveform::ramp(0.0, 1.0, 1e-12, 10e-12))
+        .unwrap();
+    ladder.add_resistor("R1", a, m, 1e3).unwrap();
+    ladder.add_capacitor("C1", m, gnd, 1e-15).unwrap();
+    ladder.add_resistor("R2", m, out, 2e3).unwrap();
+    ladder.add_capacitor("C2", out, gnd, 0.5e-15).unwrap();
+    vec![
+        ("pdn 8x8", grid.build().unwrap(), grid.t_stop),
+        ("pdn 8x8 spread 8", soft.build().unwrap(), soft.t_stop),
+        ("rc ladder", ladder, 60e-12),
+    ]
+}
+
+/// Bitwise comparison of every sample of two transients, plus the step
+/// and Newton counts (the solver counters legitimately differ).
+fn assert_samples_bitwise(a: &TranResult, b: &TranResult, what: &str) {
+    assert_eq!(a.times().len(), b.times().len(), "{what}: sample counts");
+    for (ta, tb) in a.times().iter().zip(b.times()) {
+        assert_eq!(ta.to_bits(), tb.to_bits(), "{what}: time axis");
+    }
+    for node in a.node_names() {
+        let (va, vb) = (a.node_samples(node).unwrap(), b.node_samples(node).unwrap());
+        for (x, y) in va.iter().zip(vb) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: v({node})");
+        }
+    }
+    for branch in a.branch_names() {
+        let (ia, ib) = (
+            a.branch_current(branch).unwrap(),
+            b.branch_current(branch).unwrap(),
+        );
+        for (x, y) in ia.values().iter().zip(ib.values()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: i({branch})");
+        }
+    }
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!(sa.steps_attempted, sb.steps_attempted, "{what}: attempts");
+    assert_eq!(sa.steps_accepted, sb.steps_accepted, "{what}: accepted");
+    assert_eq!(sa.steps_rejected, sb.steps_rejected, "{what}: rejected");
+    assert_eq!(sa.newton_iterations, sb.newton_iterations, "{what}: Newton");
+}
+
+/// A circuit with no MOSFET and no PTM keeps its LU factors for every
+/// step of one size and solves once per step. That must not move a bit
+/// against the reference path that factorises every Newton iteration
+/// (`with_factor_reuse(false)`): every backend × method × step control,
+/// and the DC operating point.
+#[test]
+fn linear_kept_factors_are_bitwise_identical_to_fresh() {
+    for (name, ckt, tstop) in linear_cases() {
+        for solver in [
+            LinearSolver::Dense,
+            LinearSolver::Sparse,
+            LinearSolver::Iterative,
+        ] {
+            let dc = SimOptions::default().with_solver(solver);
+            let (x_kept, st_kept) = dc_operating_point_with_stats(&ckt, &dc).unwrap();
+            let (x_fresh, st_fresh) =
+                dc_operating_point_with_stats(&ckt, &dc.with_factor_reuse(false)).unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x_kept), bits(&x_fresh), "{name} {solver}: DC point");
+            assert_eq!(st_kept.newton_iterations, st_fresh.newton_iterations);
+            assert!(st_kept.solver.solves <= st_fresh.solver.solves);
+
+            for method in [Method::BackwardEuler, Method::Trapezoidal, Method::Gear2] {
+                for lte in [false, true] {
+                    let mut opts = SimOptions::for_duration(tstop, 400)
+                        .with_solver(solver)
+                        .with_method(method);
+                    if lte {
+                        opts = opts.with_lte(1e-4);
+                    }
+                    let kept = transient(&ckt, tstop, &opts).unwrap();
+                    let fresh = transient(&ckt, tstop, &opts.with_factor_reuse(false)).unwrap();
+                    let what = format!("{name} {solver} {method:?} lte={lte}");
+                    assert_samples_bitwise(&kept, &fresh, &what);
+                    let (k, f) = (kept.stats(), fresh.stats());
+                    assert_eq!(
+                        k.solver.solves, k.steps_attempted as u64,
+                        "{what}: one solve per step attempt"
+                    );
+                    assert!(k.solver.full_factorizations <= f.solver.full_factorizations);
+                }
+            }
+        }
+    }
+}
+
+/// The counts the droop map's transient pins: the 8×8 grid under dense
+/// trapezoidal stepping takes 430 steps at 1.93 Newton iterations each
+/// (832). It solves once per step and factorises once per run of equal
+/// step sizes (52), where the per-iteration path did both 832 times.
+#[test]
+fn pdn_grid_solves_once_per_step() {
+    let grid = PdnGrid::chip(8, 8);
+    let ckt = grid.build().unwrap();
+    let opts = SimOptions::for_duration(grid.t_stop, 400).with_solver(LinearSolver::Dense);
+    let kept = transient(&ckt, grid.t_stop, &opts).unwrap().stats();
+    let fresh = transient(&ckt, grid.t_stop, &opts.with_factor_reuse(false))
+        .unwrap()
+        .stats();
+    assert_eq!(kept.steps_accepted, 430);
+    assert_eq!(kept.steps_rejected, 0);
+    assert_eq!(kept.newton_iterations, 832);
+    assert_eq!(kept.solver.solves, 430);
+    assert_eq!(kept.solver.full_factorizations, 52);
+    assert_eq!(fresh.newton_iterations, 832);
+    assert_eq!(fresh.solver.solves, 832);
+    assert_eq!(fresh.solver.full_factorizations, 832);
 }

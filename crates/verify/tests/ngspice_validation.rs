@@ -192,7 +192,9 @@ fn scalar_and_batched_runs_are_bitwise_identical() {
             tstop,
             opts: &opts,
         };
-        // Two identical lanes so the batched (not fallback) path engages.
+        // Two identical lanes, so a nonlinear (MOSFET/PTM) deck takes the
+        // batched SoA path. A linear deck runs scalar per lane: it keeps
+        // its LU factors per step size, which the SoA kernel does not.
         let batched = transient_batch(&[spec, spec]);
         for lane in &batched {
             let lane = lane.as_ref().unwrap();
